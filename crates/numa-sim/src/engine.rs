@@ -22,7 +22,7 @@
 
 use crate::branch::BranchPredictor;
 use crate::cache::{Probe, SetAssocCache};
-use crate::coherence::{DirLookup, Directory};
+use crate::coherence::{cores_in, DirLookup, Directory};
 use crate::config::MachineConfig;
 use crate::event::{Counters, HwEvent};
 use crate::noise::SplitMix64;
@@ -147,11 +147,12 @@ struct ThreadState {
 
 /// The large, geometry-shaped machine state a run needs: per-core caches,
 /// TLBs, predictors and prefetchers, per-node L3s and the coherence
-/// directory. Building this from scratch allocates tens of megabytes for
-/// the big presets (the DL580 L3 alone is ~36864 sets × 20 ways per
-/// node), so finished runs return their state to [`MachineSim::scratch`]
-/// and [`MachineSim::reset_state`] rewinds it in O(occupied) via cache/
-/// TLB epoch bumps instead of reallocating.
+/// directory. The cache arrays reserve about 27 MB on the DL580 preset
+/// (its L3 alone is 36864 sets × 20 ways per node) but start as zero
+/// pages, so only the sets a run writes become resident. Finished runs
+/// return their state to [`MachineSim::scratch`], and
+/// [`MachineSim::reset_state`] rewinds it through per-set cache and TLB
+/// epoch bumps instead of reallocating.
 struct SimState {
     cores: Vec<CoreState>,
     l3s: Vec<SetAssocCache>,
@@ -252,7 +253,7 @@ impl MachineSim {
             l3s: (0..cfg.topology.nodes)
                 .map(|_| SetAssocCache::new(cfg.l3))
                 .collect(),
-            directory: Directory::new(),
+            directory: Directory::new(n_cores),
         }
     }
 
@@ -777,17 +778,11 @@ impl MachineSim {
         let line_addr = addr / cfg.l1d.line_bytes as u64;
         if is_store {
             let (before, invalidated) = directory.record_write(line_addr, core_id as u32);
-            if !invalidated.is_empty() {
-                counters.add(
-                    core_id,
-                    HwEvent::CoherenceInvalidation,
-                    invalidated.len() as u64,
-                );
-                for victim in &invalidated {
-                    counters.bump(*victim as usize, HwEvent::SnoopRequest);
-                    cores[*victim as usize].l1.invalidate(addr);
-                    cores[*victim as usize].l2.invalidate(addr);
-                }
+            for victim in cores_in(invalidated) {
+                counters.bump(core_id, HwEvent::CoherenceInvalidation);
+                counters.bump(victim as usize, HwEvent::SnoopRequest);
+                cores[victim as usize].l1.invalidate(addr);
+                cores[victim as usize].l2.invalidate(addr);
             }
             if let DirLookup::Modified { owner } = before {
                 counters.bump(core_id, HwEvent::HitmTransfer);
@@ -1593,6 +1588,39 @@ mod tests {
         }
         let r = sim.run(&b.build(), 1).expect("valid program");
         assert_eq!(r.region_total(7, HwEvent::LoadRetired), 200);
+    }
+
+    #[test]
+    fn coherence_counts_do_not_alias_cores_above_128() {
+        // 8 × 18 = 144 cores: core 130 sits past any 128-bit sharer mask,
+        // where it used to alias core 2 and hide every coherence event.
+        let mut cfg = MachineConfig::two_socket_small();
+        cfg.topology = crate::topology::Topology::fully_interconnected(8, 18, 4 << 30);
+        cfg.noise.timer_interval = 0;
+        cfg.noise.dram_jitter = 0.0;
+        let sim = MachineSim::new(cfg);
+        let coherence = |other: usize| {
+            let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+            let line = b.alloc(4096, AllocPolicy::FirstTouch);
+            for core in [2, other] {
+                let t = b.add_thread(core);
+                for _ in 0..12 {
+                    b.store(t, line);
+                    b.load(t, line);
+                    b.exec(t, 50);
+                }
+            }
+            let r = sim.run(&b.build(), 3).expect("valid program");
+            [
+                r.total(HwEvent::CoherenceInvalidation),
+                r.total(HwEvent::HitmTransfer),
+                r.total(HwEvent::SnoopRequest),
+            ]
+        };
+        // Cores 40 and 130 are both one hop from core 2's node.
+        let below = coherence(40);
+        assert!(below.iter().all(|&n| n > 0), "{below:?}");
+        assert_eq!(coherence(130), below);
     }
 
     #[test]

@@ -35,9 +35,12 @@ pub struct AddressSpace {
     page_bytes: u64,
     regions: Vec<Region>,
     next_base: u64,
-    /// `page index -> owning node`, assigned lazily (first touch) or at
-    /// allocation (bind/interleave).
-    page_nodes: std::collections::HashMap<u64, NodeId>,
+    /// `page index -> owning node + 1`, 0 for a page not yet placed.
+    /// Pages are placed at allocation (bind/interleave) or on first touch;
+    /// the table is dense from page 0 and grows to the highest page placed
+    /// so far, which regions carved contiguously from `page_bytes` keep
+    /// compact.
+    page_nodes: Vec<u32>,
     nodes: usize,
     reserved_bytes: u64,
 }
@@ -46,11 +49,12 @@ impl AddressSpace {
     /// Creates an empty address space for a machine with `topology`.
     pub fn new(topology: &Topology, page_bytes: u64) -> Self {
         assert!(page_bytes.is_power_of_two());
+        assert!(topology.nodes < u32::MAX as usize);
         AddressSpace {
             page_bytes,
             regions: Vec::new(),
             next_base: page_bytes, // keep 0 unmapped
-            page_nodes: std::collections::HashMap::new(),
+            page_nodes: Vec::new(),
             nodes: topology.nodes,
             reserved_bytes: 0,
         }
@@ -70,22 +74,27 @@ impl AddressSpace {
         self.reserved_bytes += pages * self.page_bytes;
 
         // Non-lazy policies pin pages immediately.
-        let first_page = base / self.page_bytes;
+        let first_page = (base / self.page_bytes) as usize;
+        let placed = first_page..first_page + pages as usize;
         match policy {
-            AllocPolicy::Bind(node) => {
-                for p in 0..pages {
-                    self.page_nodes.insert(first_page + p, node);
-                }
-            }
+            AllocPolicy::Bind(node) => self.place(placed).fill(node as u32 + 1),
             AllocPolicy::Interleave => {
-                for p in 0..pages {
-                    self.page_nodes
-                        .insert(first_page + p, (p as usize) % self.nodes);
+                let nodes = self.nodes;
+                for (p, slot) in self.place(placed).iter_mut().enumerate() {
+                    *slot = (p % nodes) as u32 + 1;
                 }
             }
             AllocPolicy::FirstTouch => {}
         }
         base
+    }
+
+    /// The page-table entries of `pages`, growing the table to cover them.
+    fn place(&mut self, pages: std::ops::Range<usize>) -> &mut [u32] {
+        if self.page_nodes.len() < pages.end {
+            self.page_nodes.resize(pages.end, 0);
+        }
+        &mut self.page_nodes[pages]
     }
 
     /// Releases `bytes` from the footprint accounting (region data stays
@@ -106,13 +115,18 @@ impl AddressSpace {
     /// by the engine as touching a demand-zero page).
     #[inline]
     pub fn node_of_access(&mut self, addr: u64, toucher_node: NodeId) -> NodeId {
-        let page = self.page_of(addr);
-        *self.page_nodes.entry(page).or_insert(toucher_node)
+        let page = self.page_of(addr) as usize;
+        let slot = &mut self.place(page..page + 1)[0];
+        if *slot == 0 {
+            *slot = toucher_node as u32 + 1;
+        }
+        *slot as NodeId - 1
     }
 
     /// The node a page is currently placed on, if it has been placed.
     pub fn node_of_page(&self, page: u64) -> Option<NodeId> {
-        self.page_nodes.get(&page).copied()
+        let slot = *self.page_nodes.get(usize::try_from(page).ok()?)?;
+        (slot != 0).then(|| slot as NodeId - 1)
     }
 
     /// Currently reserved bytes — the "memory footprint (reserved memory,

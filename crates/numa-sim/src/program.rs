@@ -10,6 +10,7 @@
 //! measurement layer depends on: EvSel repeats *identically configured*
 //! program runs to batch counter registers (§IV-A-1).
 
+use crate::cache::TAG_BITS;
 use crate::mem::{AddressSpace, AllocPolicy};
 use crate::topology::{CoreId, Topology};
 
@@ -104,6 +105,14 @@ pub enum ValidateError {
         /// The unmapped address.
         addr: u64,
     },
+    /// A region reaches past the caches' packed line tag: its last byte
+    /// address is `1 << cache::TAG_BITS` or above.
+    RegionBeyondTag {
+        /// Index of the offending region, in allocation order.
+        region: usize,
+        /// The region's last byte address.
+        last_addr: u64,
+    },
 }
 
 impl std::fmt::Display for ValidateError {
@@ -125,6 +134,11 @@ impl std::fmt::Display for ValidateError {
                 f,
                 "thread {thread}, op {op}: address {addr:#x} outside every allocated region"
             ),
+            ValidateError::RegionBeyondTag { region, last_addr } => write!(
+                f,
+                "region {region}: last address {last_addr:#x} does not fit the {}-bit cache line tag",
+                TAG_BITS
+            ),
         }
     }
 }
@@ -137,13 +151,22 @@ impl Program {
         self.threads.iter().map(|t| t.ops.len()).sum()
     }
 
-    /// Validates core pinning (distinct, in range for `topology`) and that
+    /// Validates core pinning (distinct, in range for `topology`), that
+    /// every region's line addresses fit the caches' packed tag, and that
     /// every `Load`/`Store` targets an allocated region. This is the same
     /// front door the static analyzer (`np-analysis`) uses before it
     /// reasons about a program.
     pub fn validate(&self, topology: &Topology) -> Result<(), ValidateError> {
         if self.threads.is_empty() {
             return Err(ValidateError::NoThreads);
+        }
+        // A line address never exceeds its byte address, so a region whose
+        // last byte fits the tag fits it at every line size.
+        for (region, (base, bytes, _)) in self.space.regions().enumerate() {
+            let last_addr = base.saturating_add(bytes - 1);
+            if last_addr >> TAG_BITS != 0 {
+                return Err(ValidateError::RegionBeyondTag { region, last_addr });
+            }
         }
         let mut seen = std::collections::HashSet::new();
         for (i, t) in self.threads.iter().enumerate() {
@@ -357,6 +380,36 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("outside every allocated region"));
+    }
+
+    #[test]
+    fn validate_rejects_a_region_beyond_the_line_tag() {
+        let t = topo();
+        let top = 1u64 << TAG_BITS;
+        // The space starts at one page, so this region ends one page short
+        // of the tag limit and fits.
+        let mut b = ProgramBuilder::new(&t, 4096);
+        let buf = b.alloc(top - 2 * 4096, AllocPolicy::FirstTouch);
+        let th = b.add_thread(0);
+        b.load(th, buf);
+        b.build().validate(&t).unwrap();
+
+        // One page larger reaches the limit: its last line would need a
+        // tag bit the packed way does not have.
+        let mut b = ProgramBuilder::new(&t, 4096);
+        b.alloc(4096, AllocPolicy::FirstTouch);
+        let buf = b.alloc(top - 4096, AllocPolicy::FirstTouch);
+        let th = b.add_thread(0);
+        b.load(th, buf);
+        let err = b.build().validate(&t).unwrap_err();
+        assert_eq!(
+            err,
+            ValidateError::RegionBeyondTag {
+                region: 1,
+                last_addr: 4096 + top - 1,
+            }
+        );
+        assert!(err.to_string().contains("cache line tag"), "{err}");
     }
 
     #[test]

@@ -18,12 +18,12 @@
 struct TlbEntry {
     page: u64,
     stamp: u64,
-    /// Epoch the entry was filled in; older epochs are logically invalid
-    /// (see [`Tlb::flush`]).
-    epoch: u32,
 }
 
-const INVALID: u64 = u64::MAX;
+const INVALID: TlbEntry = TlbEntry {
+    page: u64::MAX,
+    stamp: 0,
+};
 const WAYS: usize = 4;
 
 /// A 4-way set-associative data TLB with LRU replacement.
@@ -31,11 +31,14 @@ const WAYS: usize = 4;
 pub struct Tlb {
     /// `sets × WAYS` entries.
     entries: Vec<TlbEntry>,
+    /// Epoch each set was last filled in; 0 = never.
+    set_epochs: Vec<u32>,
     set_mask: u64,
     clock: u64,
-    /// Current epoch: an entry is valid iff its `epoch` matches, which
-    /// makes a full flush O(1) — stale entries act exactly like invalid
-    /// stamp-0 ones in the LRU victim scan.
+    /// Current epoch: a set is live iff its `set_epochs` entry matches,
+    /// which makes a full flush O(1). A stale set is cleared to invalid
+    /// stamp-0 ways on its first fill — exactly what a real flush would
+    /// have left behind.
     epoch: u32,
 }
 
@@ -47,17 +50,11 @@ impl Tlb {
             .div_ceil(WAYS as u64)
             .next_power_of_two();
         Tlb {
-            entries: vec![
-                TlbEntry {
-                    page: INVALID,
-                    stamp: 0,
-                    epoch: 0
-                };
-                (sets as usize) * WAYS
-            ],
+            entries: vec![INVALID; (sets as usize) * WAYS],
+            set_epochs: vec![0; sets as usize],
             set_mask: sets - 1,
             clock: 0,
-            epoch: 0,
+            epoch: 1,
         }
     }
 
@@ -74,58 +71,53 @@ impl Tlb {
     /// set is filled (the page walk is accounted by the caller).
     #[inline]
     pub fn lookup(&mut self, page: u64) -> bool {
-        let base = ((page & self.set_mask) as usize) * WAYS;
+        let set_idx = (page & self.set_mask) as usize;
         self.clock += 1;
-        let epoch = self.epoch;
-        let set = &mut self.entries[base..base + WAYS];
+        let set = &mut self.entries[set_idx * WAYS..(set_idx + 1) * WAYS];
+        if self.set_epochs[set_idx] != self.epoch {
+            set.fill(INVALID);
+            self.set_epochs[set_idx] = self.epoch;
+        }
         let mut victim = 0;
         let mut oldest = u64::MAX;
         for (i, e) in set.iter_mut().enumerate() {
-            if e.page == page && e.epoch == epoch {
+            if e.page == page {
                 e.stamp = self.clock;
                 return true;
             }
-            // A stale-epoch way counts as stamp 0 — identical to the
-            // invalid entries a real flush would have left behind.
-            let stamp = if e.epoch == epoch { e.stamp } else { 0 };
-            if stamp < oldest {
-                oldest = stamp;
+            if e.stamp < oldest {
+                oldest = e.stamp;
                 victim = i;
             }
         }
         set[victim] = TlbEntry {
             page,
             stamp: self.clock,
-            epoch,
         };
         false
     }
 
     /// Invalidates one page (TLB shootdown on migration/free).
     pub fn shootdown(&mut self, page: u64) -> bool {
-        let base = ((page & self.set_mask) as usize) * WAYS;
-        let epoch = self.epoch;
-        for e in &mut self.entries[base..base + WAYS] {
-            if e.page == page && e.epoch == epoch {
-                e.page = INVALID;
-                e.stamp = 0;
-                return true;
-            }
+        let set_idx = (page & self.set_mask) as usize;
+        if self.set_epochs[set_idx] != self.epoch {
+            return false;
         }
-        false
+        let set = &mut self.entries[set_idx * WAYS..(set_idx + 1) * WAYS];
+        match set.iter_mut().find(|e| e.page == page) {
+            Some(e) => {
+                *e = INVALID;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Flushes everything (full shootdown / context switch) in O(1) via
-    /// an epoch bump; on wraparound the entries are cleared for real.
+    /// an epoch bump; on wraparound the set epochs are cleared for real.
     pub fn flush(&mut self) {
         if self.epoch == u32::MAX {
-            for e in &mut self.entries {
-                *e = TlbEntry {
-                    page: INVALID,
-                    stamp: 0,
-                    epoch: 0,
-                };
-            }
+            self.set_epochs.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -134,9 +126,11 @@ impl Tlb {
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
         self.entries
-            .iter()
-            .filter(|e| e.page != INVALID && e.epoch == self.epoch)
-            .count()
+            .chunks(WAYS)
+            .zip(&self.set_epochs)
+            .filter(|&(_, &e)| e == self.epoch)
+            .map(|(set, _)| set.iter().filter(|e| e.page != INVALID.page).count())
+            .sum()
     }
 
     /// Static-analysis helper: whether a working set of *distinct* `pages`
@@ -250,6 +244,20 @@ mod tests {
             assert_eq!(used.lookup(p), fresh.lookup(p), "page {p}");
         }
         assert_eq!(used.occupancy(), fresh.occupancy());
+    }
+
+    #[test]
+    fn flush_survives_epoch_wraparound() {
+        let mut t = Tlb::new(16);
+        t.epoch = u32::MAX - 1;
+        for round in 0..4u64 {
+            for p in 0..8u64 {
+                assert!(!t.lookup(p + round), "round {round} page {p}");
+            }
+            assert_eq!(t.occupancy(), 8);
+            t.flush();
+            assert_eq!(t.occupancy(), 0);
+        }
     }
 
     #[test]

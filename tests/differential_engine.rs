@@ -1,15 +1,18 @@
 //! Differential proof that the engine's scratch-state recycling is
 //! invisible: for every workload in the registry, on both quiet machine
-//! presets, `MachineSim::run` (which reuses pooled per-core caches, TLBs,
-//! predictors and the coherence directory via epoch-validated resets)
-//! produces results byte-identical to `MachineSim::run_fresh` (which
-//! allocates everything from scratch — the pre-refactor semantics).
+//! presets and on the noisy DL580 preset, `MachineSim::run` (which reuses
+//! pooled per-core caches, TLBs, predictors and the coherence directory
+//! via epoch-validated resets) produces results byte-identical to
+//! `MachineSim::run_fresh` (which allocates everything from scratch — the
+//! pre-refactor semantics).
 //!
 //! Each sim instance runs every program twice, so the second run always
 //! executes on *recycled* state that the previous run dirtied; a reset
 //! that forgets to clear any structure (cache line, TLB entry, predictor
 //! counter, prefetch stream, directory line, RNG, timer phase) shows up
 //! as a counter diff here.
+
+mod common;
 
 use np_simulator::{MachineConfig, MachineSim, RunResult};
 use np_workloads::registry;
@@ -18,31 +21,6 @@ fn quiet(mut cfg: MachineConfig) -> MachineConfig {
     cfg.noise.timer_interval = 0;
     cfg.noise.dram_jitter = 0.0;
     cfg
-}
-
-/// Bounded sizes: each run happens three times per preset, so the sweep
-/// shrinks every workload well below its characteristic footprint. The
-/// differential property needs the structures *exercised* (L1/L2/L3
-/// overflow, TLB thrash, directory traffic), not paper-scale runtimes.
-fn size_for(name: &str) -> Option<usize> {
-    match name {
-        "row-major" | "column-major" => Some(256),
-        "sort" => Some(8 * 1024),
-        "sift" | "sift-naive" => Some(512),
-        "mlc-local" | "mlc-remote" => Some(1 << 20),
-        "stream-local" | "stream-bound" | "stream-interleaved" => Some(16 * 1024),
-        "matmul" => Some(48),
-        "bfs" | "bfs-bound" | "bfs-interleaved" => Some(4 * 1024),
-        "hashjoin-small" => Some(2 * 1024),
-        "hashjoin-large" => Some(8 * 1024),
-        "chase-small" => Some(1 << 20),
-        "chase-large" => Some(2 << 20),
-        "stencil-small" => Some(96),
-        "stencil-large" => Some(128),
-        "walk-small" => Some(4 * 1024),
-        "walk-large" => Some(16 * 1024),
-        _ => None,
-    }
 }
 
 fn assert_same(name: &str, what: &str, fresh: &RunResult, got: &RunResult) {
@@ -66,7 +44,8 @@ fn differential_sweep(cfg: MachineConfig) {
     // on scratch state dirtied by a *different* workload.
     let sim = MachineSim::new(cfg.clone());
     for (i, name) in registry::NAMES.iter().enumerate() {
-        let workload = registry::build(name, size_for(name), 2, &cfg).expect("registry build");
+        let workload =
+            registry::build(name, common::size_for(name), 2, &cfg).expect("registry build");
         let program = workload.build(&cfg);
         let seed = 0x9E37 ^ (i as u64) << 8;
         let fresh = sim.run_fresh(&program, seed).expect("run_fresh");
@@ -85,4 +64,12 @@ fn registry_is_bit_identical_on_two_socket_quiet() {
 #[test]
 fn registry_is_bit_identical_on_ring_quiet() {
     differential_sweep(quiet(MachineConfig::eight_socket_ring()));
+}
+
+/// The benchmark's preset with noise on: timer interrupts exercise
+/// `evict_random` on recycled L1s and DRAM jitter draws from the per-core
+/// RNGs, paths the two quiet presets never take.
+#[test]
+fn registry_is_bit_identical_on_dl580_with_noise() {
+    differential_sweep(MachineConfig::dl580_gen9());
 }
