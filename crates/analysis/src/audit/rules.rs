@@ -1,12 +1,14 @@
-//! The six audit rules.
+//! The nine audit rules.
 //!
 //! Each rule is a pure function of the [`WorkspaceIndex`] (and, for
 //! reachability, the [`CallGraph`]) pushing [`AuditFinding`]s. The rules
 //! target the invariants the bench harness and the measurement stack
 //! rely on: no lock-order inversions, condvar discipline (the wakeup-
 //! storm shape), explicit atomics orderings, allocation/locking-free hot
-//! paths, justified unsafe, and panic-free call trees under the probe /
-//! serve / acquisition entry points.
+//! paths, justified unsafe, panic-free probe / serve / acquisition entry
+//! points and the call trees under them, socket reads through the
+//! bounded reader, telemetry skipped when it is off, and no wall-clock
+//! reads in the deterministic paths.
 
 use super::callgraph::{CallGraph, FnId};
 use super::index::{FileIndex, FnItem, WorkspaceIndex};
@@ -37,11 +39,23 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-panic-reachable",
-        "unwrap/expect/panic reachable from a server/probe/acquisition entry point through the approximate call graph.",
+        "unwrap/expect/panic in a server/probe/acquisition entry point or reachable from one through the approximate call graph.",
+    ),
+    (
+        "bounded-reads",
+        "Raw socket read in a file that touches TcpStream; go through np_resilience::io::read_line_bounded.",
+    ),
+    (
+        "guarded-telemetry",
+        "Telemetry or time-series sampling call without an enabled() guard earlier in the enclosing fn.",
+    ),
+    (
+        "no-wall-clock",
+        "Instant::now()/SystemTime::now() in a deterministic path (simulator, fault plan, pool, sampler, np top, bench harness, patterns).",
     ),
 ];
 
-/// Panic tokens (shared shape with `lint`'s `no-panic`).
+/// Panic tokens flagged by `no-panic-reachable`.
 pub const PANIC_TOKENS: &[&str] = &[
     ".unwrap()",
     ".expect(",
@@ -437,8 +451,7 @@ fn contains_word(code: &str, word: &str) -> bool {
 
 /// Rule 3: atomics orderings.
 pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
-    // (a) Relaxed stays a telemetry-internal liberty (generalises lint's
-    // rule to the audit's gate).
+    // (a) Relaxed stays a telemetry-internal liberty.
     for file in &ws.files {
         if file.path.starts_with("crates/telemetry/") {
             continue;
@@ -449,15 +462,14 @@ pub fn atomics(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
             }
             for line in f.start_line..=f.end_line.min(file.lexed.len().saturating_sub(1)) {
                 if file.lexed.code(line).contains("Ordering::Relaxed") {
-                    findings.push(AuditFinding {
-                        rule: "atomics-ordering",
-                        path: file.path.clone(),
-                        line: line + 1,
-                        message: "Ordering::Relaxed outside crates/telemetry; use SeqCst or move \
-                                  the atomic behind the telemetry facade"
+                    findings.push(line_finding(
+                        "atomics-ordering",
+                        file,
+                        line,
+                        "Ordering::Relaxed outside crates/telemetry; use SeqCst or move the \
+                         atomic behind the telemetry facade"
                             .to_string(),
-                        suppressed: false,
-                    });
+                    ));
                 }
             }
         }
@@ -644,15 +656,14 @@ pub fn unsafe_safety(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) -> V
                 })
                 .next();
             if justification.is_none() {
-                findings.push(AuditFinding {
-                    rule: "unsafe-safety",
-                    path: file.path.clone(),
-                    line: idx + 1,
-                    message: "unsafe without a `// SAFETY:` justification in the three preceding \
-                              lines; say why the invariants hold"
+                findings.push(line_finding(
+                    "unsafe-safety",
+                    file,
+                    idx,
+                    "unsafe without a `// SAFETY:` justification in the three preceding lines; \
+                     say why the invariants hold"
                         .to_string(),
-                    suppressed: false,
-                });
+                ));
             }
             sites.push(UnsafeSite {
                 path: file.path.clone(),
@@ -665,9 +676,10 @@ pub fn unsafe_safety(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) -> V
     sites
 }
 
-/// Rule 6: panic tokens reachable from server/probe/acquisition entry
-/// points through the call graph, outside the entry files themselves
-/// (lint's `no-panic` covers those directly).
+/// Rule 6: panic tokens in the server/probe/acquisition entry files
+/// (depth 0: they sit under the fault-injection and acquisition loops,
+/// where a panic aborts a whole campaign instead of surfacing a typed
+/// error) and in every fn reachable from them through the call graph.
 pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Vec<AuditFinding>) {
     let mut roots: Vec<FnId> = Vec::new();
     for (fi, file) in ws.files.iter().enumerate() {
@@ -683,13 +695,7 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
     let reached = graph.reachable(&roots, REACH_DEPTH);
     let mut seen: BTreeSet<(String, usize, &str)> = BTreeSet::new();
     for (&(fi, ki), &(depth, root)) in &reached {
-        if depth == 0 {
-            continue; // the entry files are lint's no-panic scope
-        }
         let file = &ws.files[fi];
-        if is_entry_file(&file.path) {
-            continue;
-        }
         let f = &file.fns[ki];
         if f.is_test {
             continue;
@@ -704,21 +710,153 @@ pub fn panic_reachable(ws: &WorkspaceIndex, graph: &CallGraph, findings: &mut Ve
             let code = file.lexed.code(line);
             for tok in PANIC_TOKENS {
                 if code.contains(tok) && seen.insert((file.path.clone(), line, tok)) {
-                    findings.push(AuditFinding {
-                        rule: "no-panic-reachable",
-                        path: file.path.clone(),
-                        line: line + 1,
-                        message: format!(
-                            "`{tok}` in `{}` is reachable in {depth} call(s) from entry \
-                             `{root_name}` ({root_path}); a panic here aborts the serving/\
-                             measurement path — return a typed error instead",
+                    let place = if depth == 0 {
+                        format!("entry `{}`", f.name)
+                    } else {
+                        format!(
+                            "`{}`, reachable in {depth} call(s) from entry `{root_name}` \
+                             ({root_path}),",
                             f.name
+                        )
+                    };
+                    findings.push(line_finding(
+                        "no-panic-reachable",
+                        file,
+                        line,
+                        format!(
+                            "`{tok}` in {place} aborts the serving/measurement path on a \
+                             panic; return a typed error instead"
                         ),
-                        suppressed: false,
-                    });
+                    ));
                 }
             }
         }
+    }
+}
+
+/// The one file allowed to call raw socket reads: it defines the bounded
+/// line reader everything else must use.
+const BOUNDED_READER_FILE: &str = "crates/resilience/src/io.rs";
+
+/// Rule 7: a file that touches `TcpStream` must read through
+/// `read_line_bounded`, so a slow or hostile peer cannot wedge or
+/// balloon the client.
+pub fn bounded_reads(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
+    for file in &ws.files {
+        if file.path == BOUNDED_READER_FILE
+            || !file
+                .lexed
+                .code_lines
+                .iter()
+                .any(|l| l.contains("TcpStream"))
+        {
+            continue;
+        }
+        for (idx, code) in non_test_lines(file) {
+            let raw_read = code.contains(".read(")
+                || code.contains("read_to_string(")
+                || code.contains("read_to_end(");
+            if raw_read && !code.contains("read_line_bounded") {
+                findings.push(line_finding(
+                    "bounded-reads",
+                    file,
+                    idx,
+                    "raw socket read; use np_resilience::io::read_line_bounded so a slow peer \
+                     cannot wedge or balloon the client"
+                        .to_string(),
+                ));
+            }
+        }
+    }
+}
+
+/// Rule 8: outside the telemetry crate, metrics-facade and time-series
+/// sampling calls must sit under an `enabled()` check (the sampler's
+/// `sampling_enabled()` matches the same substring) between the
+/// enclosing fn's header and the call, so disabled observation stays one
+/// relaxed load on hot paths.
+pub fn guarded_telemetry(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
+    for (fi, file) in ws.files.iter().enumerate() {
+        if file.path.starts_with("crates/telemetry/") {
+            continue;
+        }
+        for (idx, code) in non_test_lines(file) {
+            let observes = code.contains("np_telemetry::global()")
+                || code.contains("np_telemetry::sample")
+                || code.contains("timeseries::sample");
+            if !observes {
+                continue;
+            }
+            let from = ws.enclosing_fn(fi, idx).map_or(0, |f| f.start_line);
+            if !(from..=idx).any(|k| file.lexed.code(k).contains("enabled(")) {
+                findings.push(line_finding(
+                    "guarded-telemetry",
+                    file,
+                    idx,
+                    "telemetry or time-series sampling without an enabled() guard in the \
+                     enclosing fn; hot paths must skip disabled observation"
+                        .to_string(),
+                ));
+            }
+        }
+    }
+}
+
+/// Deterministic paths that must not observe wall clocks: the simulator
+/// (seeded reproducibility), the fault plan (seeded schedules), the
+/// worker pool (its merge order and traces must never branch on timing),
+/// the time-series sampler (captures are timestamped in simulated
+/// cycles), `np top` (paced by `thread::sleep` and a tick counter), the
+/// `np bench` matrix harness (every non-sample field is a pure function
+/// of config + seed + machine) and the np-patterns classifier (verdicts
+/// byte-identical at any thread count). Durations for reporting flow
+/// through `np_telemetry::now_ns`.
+fn wall_clock_forbidden(path: &str) -> bool {
+    path.starts_with("crates/numa-sim/")
+        || path.starts_with("crates/parallel/src/")
+        || path.starts_with("crates/bench/src/harness/")
+        || path.starts_with("crates/patterns/src/")
+        || path == "crates/resilience/src/fault.rs"
+        || path == "crates/telemetry/src/timeseries.rs"
+        || path == "src/cli/top.rs"
+}
+
+/// Rule 9: no wall-clock reads in the deterministic paths.
+pub fn no_wall_clock(ws: &WorkspaceIndex, findings: &mut Vec<AuditFinding>) {
+    for file in ws.files.iter().filter(|f| wall_clock_forbidden(&f.path)) {
+        for (idx, code) in non_test_lines(file) {
+            if code.contains("Instant::now()") || code.contains("SystemTime::now()") {
+                findings.push(line_finding(
+                    "no-wall-clock",
+                    file,
+                    idx,
+                    "wall-clock read in a deterministic path; thread time through the seeded \
+                     simulator clock"
+                        .to_string(),
+                ));
+            }
+        }
+    }
+}
+
+/// The blanked lines of `file` outside `#[cfg(test)]` modules, 0-based.
+fn non_test_lines(file: &FileIndex) -> impl Iterator<Item = (usize, &str)> {
+    file.lexed
+        .code_lines
+        .iter()
+        .enumerate()
+        .filter(|&(idx, _)| !file.lexed.is_test(idx))
+        .map(|(idx, code)| (idx, code.as_str()))
+}
+
+/// A finding at 0-based line `idx` of `file`.
+fn line_finding(rule: &'static str, file: &FileIndex, idx: usize, message: String) -> AuditFinding {
+    AuditFinding {
+        rule,
+        path: file.path.clone(),
+        line: idx + 1,
+        message,
+        suppressed: false,
     }
 }
 

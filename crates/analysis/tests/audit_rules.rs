@@ -21,6 +21,10 @@ fn rules_fired(report: &np_analysis::AuditReport) -> Vec<&'static str> {
     rules
 }
 
+fn rule_lines(report: &np_analysis::AuditReport) -> Vec<(&'static str, usize)> {
+    report.unsuppressed().map(|f| (f.rule, f.line)).collect()
+}
+
 // ---------------------------------------------------------------- lock-order
 
 #[test]
@@ -465,11 +469,11 @@ fn panic_reachable_flags_unwrap_behind_an_entry_point() {
 }
 
 #[test]
-fn panic_reachable_ignores_uncalled_helpers_and_entry_files_themselves() {
+fn panic_reachable_flags_entry_files_themselves_but_not_uncalled_helpers() {
     let report = audit(&[
         (
-            // Panic tokens inside the entry file are lint's `no-panic`
-            // scope, not the audit's (depth 0 is skipped).
+            // Depth 0: a panic token inside an entry file is flagged
+            // where it stands.
             "crates/serve/src/lib.rs",
             "pub fn handle(req: u32) -> u32 { req.checked_add(1).unwrap() }\n",
         ),
@@ -479,16 +483,306 @@ fn panic_reachable_ignores_uncalled_helpers_and_entry_files_themselves() {
             "pub fn orphan(x: Option<u32>) -> u32 { x.unwrap() }\n",
         ),
     ]);
-    assert!(
-        !report
-            .unsuppressed()
-            .any(|f| f.rule == "no-panic-reachable"),
+    assert_eq!(
+        rule_lines(&report),
+        vec![("no-panic-reachable", 1)],
         "{}",
         report.render()
     );
+    let f = report.unsuppressed().next().unwrap();
+    assert_eq!(f.path, "crates/serve/src/lib.rs");
+    assert!(f.message.contains("entry `handle`"), "{}", f.message);
+}
+
+#[test]
+fn panic_reachable_covers_every_entry_file_and_no_other_file() {
+    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+    for path in [
+        "crates/core/src/memhist/probe.rs",
+        "crates/resilience/src/io.rs",
+        "crates/counters/src/acquisition.rs",
+        "crates/counters/src/pebs.rs",
+        "crates/serve/src/server.rs",
+        "crates/serve/src/cache.rs",
+    ] {
+        let report = audit(&[(path, src)]);
+        assert_eq!(
+            rule_lines(&report),
+            vec![("no-panic-reachable", 1)],
+            "{path}: {}",
+            report.render()
+        );
+    }
+    // Near miss: the same fn outside the entry files is nobody's root.
+    let report = audit(&[("crates/counters/src/catalog.rs", src)]);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+// ------------------------------------------------------------ bounded-reads
+
+const RAW_TCP_READ: &str = concat!(
+    "use std::net::TcpStream;\n",
+    "fn f(s: &mut TcpStream, buf: &mut [u8]) {\n",
+    "    let _ = s.read(buf);\n",
+    "}\n",
+);
+
+#[test]
+fn bounded_reads_flags_raw_reads_in_files_touching_tcp() {
+    for path in ["crates/core/src/session.rs", "crates/serve/src/client.rs"] {
+        let report = audit(&[(path, RAW_TCP_READ)]);
+        assert_eq!(
+            rule_lines(&report),
+            vec![("bounded-reads", 3)],
+            "{path}: {}",
+            report.render()
+        );
+    }
+    let slurp = concat!(
+        "use std::net::TcpStream;\n",
+        "fn f(s: &mut TcpStream, out: &mut String) {\n",
+        "    let _ = s.read_to_string(out);\n",
+        "}\n",
+    );
+    let report = audit(&[("crates/core/src/session.rs", slurp)]);
+    assert_eq!(rule_lines(&report), vec![("bounded-reads", 3)]);
+}
+
+#[test]
+fn bounded_reads_exempts_the_bounded_reader_and_files_without_tcp() {
+    // The bounded reader's own file defines the one sanctioned raw read.
+    let report = audit(&[("crates/resilience/src/io.rs", RAW_TCP_READ)]);
+    assert!(report.is_clean(), "{}", report.render());
+    // A `.read(` in a file that never touches a socket is file or lock IO.
+    let file_read = "fn f(r: &mut std::fs::File, buf: &mut [u8]) { let _ = r.read(buf); }\n";
+    let report = audit(&[("crates/core/src/session.rs", file_read)]);
+    assert!(report.is_clean(), "{}", report.render());
+    // Going through the bounded reader is the fix.
+    let bounded = concat!(
+        "use std::net::TcpStream;\n",
+        "fn f(s: &mut TcpStream) { let _ = np_resilience::io::read_line_bounded(s, 64); }\n",
+    );
+    let report = audit(&[("crates/serve/src/client.rs", bounded)]);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+// -------------------------------------------------------- guarded-telemetry
+
+const UNGUARDED_COUNTER: &str = concat!(
+    "fn record() {\n",
+    "    np_telemetry::global().counter(\"x\").add(1);\n",
+    "}\n",
+);
+const UNGUARDED_SAMPLE: &str = concat!(
+    "fn record(now: u64) {\n",
+    "    np_telemetry::timeseries::sample(\"acq.reps\", now, 1);\n",
+    "}\n",
+);
+
+#[test]
+fn guarded_telemetry_flags_unguarded_metrics_and_sampling() {
+    for (path, src) in [
+        ("crates/core/src/runner.rs", UNGUARDED_COUNTER),
+        ("crates/counters/src/acquisition.rs", UNGUARDED_SAMPLE),
+        // The bench matrix harness runs hot measurement loops too.
+        ("crates/bench/src/harness/runner.rs", UNGUARDED_SAMPLE),
+        (
+            "crates/patterns/src/verify.rs",
+            "fn f() { np_telemetry::global().snapshot(); }\n",
+        ),
+    ] {
+        let report = audit(&[(path, src)]);
+        assert_eq!(
+            rules_fired(&report),
+            vec!["guarded-telemetry"],
+            "{path}: {}",
+            report.render()
+        );
+    }
+}
+
+#[test]
+fn guarded_telemetry_accepts_a_guard_in_the_enclosing_fn() {
+    let report = audit(&[(
+        "crates/core/src/runner.rs",
+        concat!(
+            "fn record() {\n",
+            "    if np_telemetry::enabled() {\n",
+            "        np_telemetry::global().counter(\"x\").add(1);\n",
+            "    }\n",
+            "}\n",
+            "fn sample(now: u64) {\n",
+            "    if np_telemetry::sampling_enabled() {\n",
+            "        np_telemetry::sample_cumulative(\"x\", now, 1);\n",
+            "    }\n",
+            "}\n",
+        ),
+    )]);
+    assert!(report.is_clean(), "{}", report.render());
+    // A guard in the *previous* fn does not cover the next one.
+    let report = audit(&[(
+        "crates/core/src/runner.rs",
+        concat!(
+            "fn guarded() -> bool {\n",
+            "    np_telemetry::enabled()\n",
+            "}\n",
+            "fn record() {\n",
+            "    np_telemetry::global().counter(\"x\").add(1);\n",
+            "}\n",
+        ),
+    )]);
+    assert_eq!(rule_lines(&report), vec![("guarded-telemetry", 5)]);
+}
+
+#[test]
+fn guarded_telemetry_exempts_the_facade_and_the_sampler() {
+    for (path, src) in [
+        ("crates/telemetry/src/snapshot.rs", UNGUARDED_COUNTER),
+        ("crates/telemetry/src/timeseries.rs", UNGUARDED_SAMPLE),
+    ] {
+        let report = audit(&[(path, src)]);
+        assert!(report.is_clean(), "{path}: {}", report.render());
+    }
+}
+
+// ------------------------------------------------------------ no-wall-clock
+
+const INSTANT_NOW: &str = "fn f() { let _t = std::time::Instant::now(); }\n";
+
+#[test]
+fn no_wall_clock_flags_every_deterministic_scope() {
+    for path in [
+        "crates/numa-sim/src/engine.rs",
+        "crates/resilience/src/fault.rs",
+        "crates/parallel/src/pool.rs",
+        "crates/parallel/src/queue.rs",
+        "crates/telemetry/src/timeseries.rs",
+        "src/cli/top.rs",
+        "crates/bench/src/harness/runner.rs",
+        "crates/bench/src/harness/schema.rs",
+        "crates/patterns/src/classify.rs",
+        "crates/patterns/src/verify.rs",
+        "crates/patterns/src/metrics.rs",
+    ] {
+        let report = audit(&[(path, INSTANT_NOW)]);
+        assert_eq!(
+            rule_lines(&report),
+            vec![("no-wall-clock", 1)],
+            "{path}: {}",
+            report.render()
+        );
+    }
+    let system_time = "fn f() { let _t = std::time::SystemTime::now(); }\n";
+    let report = audit(&[("crates/parallel/src/pool.rs", system_time)]);
+    assert_eq!(rule_lines(&report), vec![("no-wall-clock", 1)]);
+}
+
+#[test]
+fn no_wall_clock_allows_reporting_paths_and_test_trees() {
+    // The rest of the CLI, the trace module (now_ns's home), the bench
+    // crate outside harness/, the retry policy, and integration tests
+    // outside src/ may all read a wall clock.
+    for path in [
+        "src/cli/commands.rs",
+        "crates/telemetry/src/trace.rs",
+        "crates/bench/src/lib.rs",
+        "crates/resilience/src/retry.rs",
+        "crates/patterns/tests/calibration.rs",
+        "crates/parallel/tests/pool_stress.rs",
+    ] {
+        let report = audit(&[(path, INSTANT_NOW)]);
+        assert!(report.is_clean(), "{path}: {}", report.render());
+    }
 }
 
 // ------------------------------------------------------------ cross-cutting
+
+/// Golden fixture: the line-local rules fire at pinned `(rule, line)`s
+/// through the blanking lexer, so a lexer change that shifts how
+/// comments, strings or test modules blank shows up as a diff here.
+#[test]
+fn golden_findings_are_pinned() {
+    let serve_src = concat!(
+        "use std::net::TcpStream;\n",                                     // 1
+        "use std::sync::atomic::{AtomicU64, Ordering};\n",                // 2
+        "pub fn handle(x: Option<u32>) -> u32 {\n",                       // 3
+        "    x.unwrap()\n",                                               // 4: no-panic-reachable
+        "}\n",                                                            // 5
+        "pub fn slurp(s: &mut TcpStream, buf: &mut [u8]) {\n",            // 6
+        "    let _ = s.read(buf);\n",                                     // 7: bounded-reads
+        "}\n",                                                            // 8
+        "pub fn bump(c: &AtomicU64) {\n",                                 // 9
+        "    c.fetch_add(1, Ordering::Relaxed);\n",                       // 10: atomics-ordering
+        "}\n",                                                            // 11
+        "pub fn observe() {\n",                                           // 12
+        "    np_telemetry::global().counter(\"x\").inc();\n",             // 13: guarded-telemetry
+        "}\n",                                                            // 14
+        "// Comments and strings stay blank: .unwrap() here is prose.\n", // 15
+        "#[cfg(test)]\n",                                                 // 16
+        "mod tests {\n",                                                  // 17
+        "    #[test]\n",                                                  // 18
+        "    fn t() { Some(1).unwrap(); }\n",                             // 19: exempt
+        "}\n",                                                            // 20
+    );
+    let report = audit(&[("crates/serve/src/handler.rs", serve_src)]);
+    assert_eq!(
+        rule_lines(&report),
+        vec![
+            ("no-panic-reachable", 4),
+            ("bounded-reads", 7),
+            ("atomics-ordering", 10),
+            ("guarded-telemetry", 13),
+        ],
+        "{}",
+        report.render()
+    );
+
+    let pool_src = "pub fn tick() -> std::time::Instant { std::time::Instant::now() }\n";
+    let report = audit(&[("crates/parallel/src/pool.rs", pool_src)]);
+    assert_eq!(rule_lines(&report), vec![("no-wall-clock", 1)]);
+}
+
+#[test]
+fn comments_strings_and_test_modules_are_blanked() {
+    // Every token below sits in a comment, a (raw) string or a test
+    // module of an entry file in every line-local rule's scope; only
+    // line 10's real unwrap fires.
+    let src = concat!(
+        "// calling .unwrap() or Instant::now() here would be bad\n",
+        "/* outer /* inner .unwrap() */ still comment .expect( */\n",
+        "fn f() -> &'static str { \"never .unwrap() or Instant::now() in prose\" }\n",
+        "fn g() -> String { String::from(r#\"panic! \"quoted\" .unwrap()\"#) }\n",
+        "#[cfg(test)]\n",
+        "mod tests {\n",
+        "    #[test]\n",
+        "    fn t() { Some(1).unwrap(); let _ = std::time::Instant::now(); }\n",
+        "}\n",
+        "fn h(x: Option<u8>) -> u8 { x.unwrap() }\n",
+    );
+    let report = audit(&[("crates/serve/src/clock.rs", src)]);
+    assert_eq!(rule_lines(&report), vec![("no-panic-reachable", 10)]);
+    let report = audit(&[("crates/parallel/src/pool.rs", src)]);
+    assert!(report.is_clean(), "{}", report.render());
+}
+
+#[test]
+fn allow_marker_silences_one_rule_on_one_line() {
+    let src = concat!(
+        "fn f(x: Option<u32>) -> u32 { x.unwrap() } // audit:allow(no-panic-reachable): startup\n",
+        "fn g(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "fn h(x: Option<u32>) -> u32 { x.unwrap() } // audit:allow(bounded-reads)\n",
+    );
+    let report = audit(&[("crates/counters/src/pebs.rs", src)]);
+    assert_eq!(
+        rule_lines(&report),
+        vec![("no-panic-reachable", 2), ("no-panic-reachable", 3)],
+        "{}",
+        report.render()
+    );
+    let src = "fn f() { let _t = std::time::Instant::now(); } // audit:allow(no-wall-clock)\n";
+    let report = audit(&[("crates/numa-sim/src/engine.rs", src)]);
+    assert!(report.is_clean(), "{}", report.render());
+}
 
 #[test]
 fn findings_sort_deterministically_across_rules() {

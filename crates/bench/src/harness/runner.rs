@@ -6,8 +6,8 @@
 //! count. Thread starts are barrier-synchronised (inside
 //! `np_parallel::Pool` and the loadgen hammer), so samples never fold
 //! spawn skew into the measured wall. All timing flows through
-//! `np_telemetry::now_ns` — this module sits in the linter's
-//! no-wall-clock scope.
+//! `np_telemetry::now_ns` — this module sits in the audit's
+//! `no-wall-clock` scope.
 
 use super::config::{CellSpec, MatrixConfig};
 use super::schema::{digest_str, BenchCell, BenchReport, BENCH_SCHEMA};

@@ -128,22 +128,21 @@ macro_rules! span {
     };
 }
 
+/// Serializes the crate's tests that toggle the process-global
+/// [`set_enabled`] flag: every test that flips it holds this guard.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// Tests toggle process-global state; serialize them.
-    fn lock() -> MutexGuard<'static, ()> {
-        static M: OnceLock<Mutex<()>> = OnceLock::new();
-        M.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn disabled_telemetry_records_nothing() {
-        let _l = lock();
+        let _l = test_lock();
         set_enabled(false);
         let c = counter!("test.disabled");
         c.reset();
@@ -161,7 +160,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_accumulate_when_enabled() {
-        let _l = lock();
+        let _l = test_lock();
         set_enabled(true);
         let c = counter!("test.counter");
         c.reset();
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_and_sorted() {
-        let _l = lock();
+        let _l = test_lock();
         set_enabled(true);
         global().counter("test.z_last").reset();
         global().counter("test.a_first").reset();
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn spans_record_wall_time_and_trace_events() {
-        let _l = lock();
+        let _l = test_lock();
         set_enabled(true);
         set_tracing(true);
         clear_trace();

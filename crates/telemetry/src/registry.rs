@@ -227,6 +227,7 @@ mod tests {
         // panics mid-registration poisons the name map, and `snapshot`
         // (called from the serve crate's stats endpoint) must not turn
         // that into a second panic on the request path.
+        let _l = crate::test_lock();
         let reg = Arc::new(MetricsRegistry::default());
         crate::set_enabled(true);
         reg.counter("pre.poison").inc();
@@ -250,5 +251,6 @@ mod tests {
         assert_eq!(get("post.poison"), Some(1));
         reg.reset();
         assert_eq!(reg.counter("pre.poison").get(), 0);
+        crate::set_enabled(false);
     }
 }

@@ -22,10 +22,7 @@ cargo test -q --offline
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace --offline
 
-echo "== np lint (workspace invariants) =="
-cargo run --release --offline --quiet -- lint
-
-echo "== np audit (concurrency & determinism audit) =="
+echo "== np audit (workspace static analyser) =="
 audit_inv="$(mktemp -t np-unsafe-inventory.XXXXXX.md)"
 cargo run --release --offline --quiet -- audit --inventory "$audit_inv"
 # The committed unsafe inventory must match the tree: a new unsafe block

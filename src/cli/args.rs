@@ -35,8 +35,6 @@ pub enum Command {
     C2c,
     /// Static code-to-indicator analysis (bounds, barriers, races).
     Analyze,
-    /// Workspace invariant linter.
-    Lint,
     /// Workspace concurrency & determinism audit.
     Audit,
     /// Run the indicator-exchange server.
@@ -76,7 +74,6 @@ impl Command {
             "archives" => Command::Archives,
             "c2c" => Command::C2c,
             "analyze" => Command::Analyze,
-            "lint" => Command::Lint,
             "audit" => Command::Audit,
             "serve" => Command::Serve,
             "loadgen" => Command::Loadgen,
@@ -126,7 +123,7 @@ pub struct Cli {
     pub telemetry: Option<String>,
     /// Write a Chrome-trace file of internal spans to this path.
     pub trace: Option<String>,
-    /// Workspace root for `lint` (`--path`).
+    /// Workspace root for `audit` (`--path`).
     pub path: String,
     /// Exchange address: bind address for `serve`, target for `loadgen`
     /// (`loadgen` boots an in-process server when absent).
@@ -234,14 +231,15 @@ impl Cli {
             clients: 8,
             frames: 40,
             smoke: false,
-            // `--out` default tracks the command's baseline file.
+            // `--out` defaults to a per-command git-ignored artifact, so
+            // no command overwrites a committed baseline unless asked to.
             out: match command {
-                Command::BenchParallel => "baselines/bench-parallel.json",
+                Command::BenchParallel => "BENCH_parallel.json",
                 Command::Bench => "BENCH_matrix.json",
                 Command::Run => "CAPTURE.json",
                 Command::Report => "REPORT.html",
                 Command::Patterns => "PATTERNS.json",
-                _ => "BENCH_serve.json",
+                _ => "BENCH_loadgen.json",
             }
             .into(),
             shards: 8,
@@ -453,6 +451,8 @@ mod tests {
     fn rejects_unknown_command_and_flags() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["frobnicate"]).is_err());
+        // The one workspace analyser is `audit`.
+        assert!(parse(&["lint"]).is_err());
         assert!(parse(&["stat", "--bogus"]).is_err());
         assert!(parse(&["stat", "--size"]).is_err());
         assert!(parse(&["stat", "--size", "abc"]).is_err());
@@ -498,15 +498,10 @@ mod tests {
     }
 
     #[test]
-    fn analyze_and_lint_parse() {
+    fn analyze_parses() {
         let cli = parse(&["analyze", "-w", "sort", "--machine", "two-socket"]).unwrap();
         assert_eq!(cli.command, Command::Analyze);
         assert_eq!(cli.workload.as_deref(), Some("sort"));
-        let cli = parse(&["lint", "--path", "/tmp/ws"]).unwrap();
-        assert_eq!(cli.command, Command::Lint);
-        assert_eq!(cli.path, "/tmp/ws");
-        // Default lint root is the current directory.
-        assert_eq!(parse(&["lint"]).unwrap().path, ".");
     }
 
     #[test]
@@ -577,13 +572,14 @@ mod tests {
         assert_eq!(cli.out, "b.json");
         assert!(cli.addr.is_none(), "no --addr means in-process server");
 
-        // Defaults: a forever server, an 8-way loadgen, tracked baseline.
+        // Defaults: a forever server, an 8-way loadgen, and an untracked
+        // artifact (the committed BENCH_serve.json needs an explicit --out).
         let cli = parse(&["serve"]).unwrap();
         assert_eq!(cli.conns, 0);
         let cli = parse(&["loadgen"]).unwrap();
         assert_eq!(cli.clients, 8);
         assert_eq!(cli.frames, 40);
-        assert_eq!(cli.out, "BENCH_serve.json");
+        assert_eq!(cli.out, "BENCH_loadgen.json");
         assert!(!cli.smoke);
     }
 
@@ -605,9 +601,10 @@ mod tests {
         assert_eq!(cli.seed, 7);
         assert!(cli.smoke);
         assert_eq!(cli.out, "bp.json");
-        // The default baseline path is per-command.
+        // The default artifact is per-command and untracked; the committed
+        // baselines/bench-parallel.json is only written with an explicit --out.
         let cli = parse(&["bench-parallel"]).unwrap();
-        assert_eq!(cli.out, "baselines/bench-parallel.json");
+        assert_eq!(cli.out, "BENCH_parallel.json");
         assert!(!cli.smoke);
     }
 

@@ -32,7 +32,6 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Archives => archives(cli),
         Command::C2c => c2c(cli),
         Command::Analyze => analyze_cmd(cli),
-        Command::Lint => lint_cmd(cli),
         Command::Audit => audit_cmd(cli),
         Command::Serve => serve_cmd(cli),
         Command::Loadgen => loadgen_cmd(cli),
@@ -950,32 +949,11 @@ fn analyze_all(cli: &Cli, machine: &np_simulator::MachineConfig) -> Result<Strin
     }
 }
 
-/// `np lint`: the workspace invariant linter. Findings are an error so CI
-/// fails on a violation; `--json` emits the machine-readable report.
-fn lint_cmd(cli: &Cli) -> Result<String, String> {
-    let report = np_analysis::lint_workspace(std::path::Path::new(&cli.path))
-        .map_err(|e| format!("lint: cannot scan '{}': {e}", cli.path))?;
-    if cli.json {
-        let body = report.to_json() + "\n";
-        return if report.is_clean() {
-            Ok(body)
-        } else {
-            Err(body)
-        };
-    }
-    let body = report.render() + "\n";
-    if report.is_clean() {
-        Ok(body)
-    } else {
-        Err(body)
-    }
-}
-
-/// `np audit`: the workspace concurrency & determinism audit. Unsuppressed
-/// findings are an error (the binary exits 2), mirroring `lint`; the
-/// committed baseline file gates legacy findings, `--sarif` emits the
-/// code-scanning report, and `--inventory` regenerates the committed
-/// unsafe inventory.
+/// `np audit`: the workspace static analyser. Unsuppressed findings are an
+/// error (the binary exits 2) so CI fails on a violation; the committed
+/// baseline file gates legacy findings, `--json` emits the np-audit/1
+/// report, `--sarif` the code-scanning report, and `--inventory`
+/// regenerates the committed unsafe inventory.
 fn audit_cmd(cli: &Cli) -> Result<String, String> {
     use np_analysis::audit::{audit_workspace, Baseline};
     let root = std::path::Path::new(&cli.path);
@@ -1461,18 +1439,8 @@ mod tests {
     }
 
     #[test]
-    fn lint_runs_clean_on_this_workspace() {
-        // Tests run with the package root as cwd, which is the workspace
-        // root for the top-level crate.
-        let out = run(&["lint"]).unwrap();
-        assert!(out.contains("0 finding(s)"), "{out}");
-        let json = run(&["lint", "--json"]).unwrap();
-        assert!(json.contains("\"findings\":[]"), "{json}");
-    }
-
-    #[test]
-    fn lint_fails_on_a_seeded_violation() {
-        let dir = std::env::temp_dir().join(format!("np-lint-seed-{}", std::process::id()));
+    fn audit_fails_on_a_panic_in_an_entry_file() {
+        let dir = std::env::temp_dir().join(format!("np-audit-entry-{}", std::process::id()));
         let src = dir.join("crates/counters/src");
         std::fs::create_dir_all(&src).unwrap();
         std::fs::write(
@@ -1480,14 +1448,16 @@ mod tests {
             "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )
         .unwrap();
-        let err = run(&["lint", "--path", &dir.to_string_lossy()]).unwrap_err();
-        assert!(err.contains("no-panic"), "{err}");
+        let err = run(&["audit", "--path", &dir.to_string_lossy()]).unwrap_err();
+        assert!(err.contains("no-panic-reachable"), "{err}");
         assert!(err.contains("acquisition.rs:1"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn audit_runs_clean_on_this_workspace() {
+        // Tests run with the package root as cwd, which is the workspace
+        // root for the top-level crate.
         let out = run(&["audit"]).unwrap();
         assert!(out.contains("audit clean"), "{out}");
         let json = run(&["audit", "--json"]).unwrap();
@@ -1554,6 +1524,28 @@ mod tests {
                          Some(req.to_string())\n}\n",
                     ),
                 ],
+            ),
+            (
+                "bounded-reads",
+                &[(
+                    "crates/a/src/lib.rs",
+                    "use std::net::TcpStream;\nfn f(s: &mut TcpStream, buf: &mut [u8]) {\n    \
+                     let _ = s.read(buf);\n}\n",
+                )],
+            ),
+            (
+                "guarded-telemetry",
+                &[(
+                    "crates/a/src/lib.rs",
+                    "fn record() {\n    np_telemetry::global().counter(\"x\").add(1);\n}\n",
+                )],
+            ),
+            (
+                "no-wall-clock",
+                &[(
+                    "crates/numa-sim/src/lib.rs",
+                    "fn f() {\n    let _t = std::time::Instant::now();\n}\n",
+                )],
             ),
         ];
         for (rule, files) in seeds {

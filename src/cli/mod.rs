@@ -69,10 +69,11 @@ COMMANDS:
     archives    list recorded measurement archives
     analyze     static code-to-indicator analysis: barrier/deadlock check,
                 data races, per-event bounds proven against a dynamic run
-    lint        workspace invariant linter (token-level, zero-dependency)
-    audit       workspace concurrency & determinism audit: lock-order
-                cycles, condvar discipline, atomics orderings, hot-path
-                hygiene, unsafe inventory, panic reachability
+    audit       workspace static analyser (token-level, zero-dependency):
+                lock-order cycles, condvar discipline, atomics orderings,
+                hot-path hygiene, unsafe inventory, panic-free entry
+                points, bounded socket reads, guarded telemetry, no wall
+                clocks in deterministic paths
                 (--baseline FILE, --sarif FILE, --inventory FILE)
     serve       run the indicator-exchange server (put/query/predict over
                 line-delimited JSON frames)
@@ -130,7 +131,7 @@ OPTIONS:
                        (see `numa-perf-tools help telemetry`)
     --trace FILE       write a Chrome-trace of internal spans
                        (load in chrome://tracing or ui.perfetto.dev)
-    --path DIR         lint / audit: workspace root to scan (default .)
+    --path DIR         audit: workspace root to scan (default .)
     --sarif FILE       audit: also write a SARIF 2.1.0 report
     --inventory FILE   audit: regenerate the unsafe-inventory markdown
     --baseline FILE    audit: suppression baseline (default: the
@@ -148,8 +149,9 @@ OPTIONS:
                        bench-parallel / bench: fail unless every cell
                        audit (bit-equality vs sequential) held
     --out FILE         loadgen / bench-parallel / bench: artifact path
-                       (defaults BENCH_serve.json / BENCH_matrix.json /
-                       baselines/bench-parallel.json)
+                       (defaults BENCH_loadgen.json / BENCH_parallel.json /
+                       BENCH_matrix.json; the committed baselines are only
+                       written when named explicitly)
     --config FILE      bench: matrix config, TOML subset or JSON
     --baseline FILE    bench diff: baseline report (or first positional)
     --current FILE     bench diff/trend/speedup: pre-recorded report
@@ -188,8 +190,7 @@ HELP TOPICS:
     numa-perf-tools help resilience    fault tolerance in the probe and
                                        acquisition paths
     numa-perf-tools help analyze       static code-to-indicator analysis
-    numa-perf-tools help lint          the workspace invariant linter
-    numa-perf-tools help audit         the concurrency & determinism audit
+    numa-perf-tools help audit         the workspace static analyser
     numa-perf-tools help serve         the indicator-exchange service
     numa-perf-tools help loadgen       benchmarking the exchange
     numa-perf-tools help parallel      deterministic worker-pool execution
@@ -335,67 +336,19 @@ DIFFERENTIAL PROOF:
 "
 }
 
-/// The `help lint` topic: workspace invariants.
-pub fn lint_help() -> &'static str {
-    "The workspace invariant linter
-==============================
-
-`lint` enforces cross-crate rules the type system cannot express, with
-a token-level scan (no syn, no rustc plumbing). Comments, strings and
-#[cfg(test)] modules are exempt; `// lint:allow(rule): why` silences
-one line with an audit trail. Findings are errors (exit code 2), so CI
-fails on a violation.
-
-    numa-perf-tools lint [--path DIR] [--json]
-
-RULES:
-    no-panic           no .unwrap()/.expect()/panic!/unreachable!/todo!
-                       in probe and acquisition paths (memhist/probe.rs,
-                       resilience/io.rs, counters/acquisition.rs,
-                       counters/pebs.rs) — a panic there aborts a whole
-                       measurement campaign instead of surfacing a
-                       typed error
-    bounded-reads      files touching TcpStream must not call raw
-                       .read()/read_to_string()/read_to_end(); go
-                       through np_resilience::io::read_line_bounded so
-                       a slow or hostile peer cannot wedge the client
-    relaxed-ordering   Ordering::Relaxed only inside crates/telemetry
-                       (the one place the relaxed-counter argument has
-                       been made); everything else uses SeqCst
-    guarded-telemetry  np_telemetry::global() and time-series sampling
-                       (sample / sample_cumulative) on a hot path must
-                       sit under an enabled() / sampling_enabled()
-                       check in the enclosing fn
-    no-wall-clock      Instant::now()/SystemTime::now() are forbidden
-                       in the simulator, the fault plan, the worker
-                       pool (crates/parallel/src), the time-series
-                       sampler (captures are timestamped in simulated
-                       cycles), `np top`, the bench matrix harness
-                       (crates/bench/src/harness) and the np-patterns
-                       classifier (crates/patterns/src; its verdicts
-                       are byte-identical at any thread count) —
-                       seeded determinism is the whole point; pool and
-                       harness timings flow through
-                       np_telemetry::now_ns for reporting only
-
-OUTPUT:
-    file.rs:LINE: [rule] message       (text, one finding per line)
-    --json emits {files_scanned, findings: [{path, line, rule,
-    message}]} for CI artifacts.
-"
-}
-
 /// The `help audit` topic: concurrency & determinism audit.
 pub fn audit_help() -> &'static str {
-    "The workspace concurrency & determinism audit
-=============================================
+    "The workspace static analyser
+=============================
 
-`audit` is the linter's deeper sibling: the same token-level scan
-(shared blanking lexer, no syn), plus a per-file function index and an
-approximate workspace call graph, applied to the concurrency rules a
-type checker cannot express. Unsuppressed findings are errors (exit
-code 2). #[cfg(test)] modules are exempt; `// audit:allow(rule): why`
-silences one line with an audit trail.
+`audit` enforces the cross-crate concurrency and determinism rules a
+type checker cannot express, with a token-level scan (a blanking lexer,
+no syn, no rustc plumbing), a per-file function index and an
+approximate workspace call graph. It scans every .rs under src/ and
+crates/*/src/ (vendored shims excluded). Unsuppressed findings are
+errors (exit code 2), so CI fails on a violation. Comments, strings and
+#[cfg(test)] modules are exempt; `// audit:allow(rule): why` silences
+one rule on one line with an audit trail.
 
     numa-perf-tools audit [--path DIR] [--json] [--sarif FILE]
                           [--baseline FILE] [--inventory FILE]
@@ -422,10 +375,31 @@ RULES:
                          committed as UNSAFE_INVENTORY.md and CI
                          regenerates and diffs it
     no-panic-reachable   .unwrap()/.expect()/panic!/unreachable!/todo!
-                         in any fn reachable (bounded call-graph walk)
-                         from the server and probe/acquisition entry
-                         points — a panic there kills a campaign or a
-                         connection instead of returning an error
+                         in the entry files themselves (crates/serve/src,
+                         memhist/probe.rs, resilience/io.rs,
+                         counters/acquisition.rs, counters/pebs.rs) and
+                         in any fn reachable from them (bounded
+                         call-graph walk) — a panic there kills a
+                         campaign or a connection instead of returning
+                         an error
+    bounded-reads        files touching TcpStream must not call raw
+                         .read()/read_to_string()/read_to_end(); go
+                         through np_resilience::io::read_line_bounded so
+                         a slow or hostile peer cannot wedge the client
+    guarded-telemetry    np_telemetry::global() and time-series sampling
+                         (sample / sample_cumulative) outside
+                         crates/telemetry must sit under an enabled() /
+                         sampling_enabled() check in the enclosing fn
+    no-wall-clock        Instant::now()/SystemTime::now() are forbidden
+                         in the simulator, the fault plan, the worker
+                         pool (crates/parallel/src), the time-series
+                         sampler (captures are timestamped in simulated
+                         cycles), `np top`, the bench matrix harness
+                         (crates/bench/src/harness) and the np-patterns
+                         classifier (crates/patterns/src) — seeded
+                         determinism is the whole point; pool and
+                         harness timings flow through
+                         np_telemetry::now_ns for reporting only
 
 BASELINE:
     audit-baseline.json (np-audit-baseline/1) suppresses known legacy
@@ -500,7 +474,8 @@ pub fn loadgen_help() -> &'static str {
 =========================
 
 `loadgen` drives a seeded, deterministic workload against an exchange
-and writes its artifact (default BENCH_serve.json) in the unified
+and writes its artifact (default BENCH_loadgen.json; the committed
+BENCH_serve.json baseline is rewritten only with --out) in the unified
 np-bench/1 schema — one `loadgen/t<clients>` cell — so `np bench diff`
 and `np bench trend` read it directly. Without --addr it boots an
 in-process server first. The hammer phase starts its client sessions
@@ -545,7 +520,7 @@ DETERMINISM CONTRACT:
     order), so every pooled path is bit-identical to its sequential
     loop at ANY thread count. `--threads` is purely a throughput knob;
     it can never change a measured value. The pool itself is in the
-    linter's no-wall-clock scope, so nothing in it can branch on
+    audit's no-wall-clock scope, so nothing in it can branch on
     timing.
 
 SCHEDULES (test harness):
@@ -566,7 +541,8 @@ BENCHMARK:
     numa-perf-tools bench-parallel [--smoke] [--out FILE]
     runs every pooled path at 1/2/4/N threads through the `np bench`
     matrix harness and writes the unified np-bench/1 artifact (default
-    baselines/bench-parallel.json, the committed baseline): per cell,
+    BENCH_parallel.json; the committed baseline
+    baselines/bench-parallel.json is rewritten only with --out): per cell,
     wall-time samples, a modeled
     speedup (greedy makespan of the sequential chunk costs —
     meaningful even on a single-core CI host), and a bit-equality
@@ -675,7 +651,7 @@ COLUMNS:
 
 DETERMINISM:
     The sampler timestamps are simulated cycles, never wall clock —
-    `top` itself sits in the linter's no-wall-clock scope; pacing comes
+    `top` itself sits in the audit's no-wall-clock scope; pacing comes
     from thread::sleep and the tick counter only. The default workload
     is row-major at size 4096, large enough that the engine's timeslice
     hook fires at the default granularity.
@@ -792,26 +768,10 @@ mod tests {
     #[test]
     fn help_topics_cover_analysis() {
         assert!(super::usage().contains("help analyze"));
-        assert!(super::usage().contains("help lint"));
+        assert!(!super::usage().contains("help lint"));
         assert!(super::usage().contains("help audit"));
         assert!(super::analyze_help().contains("DIFFERENTIAL PROOF"));
-        for rule in [
-            "no-panic",
-            "bounded-reads",
-            "relaxed-ordering",
-            "guarded-telemetry",
-            "no-wall-clock",
-        ] {
-            assert!(super::lint_help().contains(rule), "missing rule {rule}");
-        }
-        for rule in [
-            "lock-order",
-            "condvar-discipline",
-            "atomics-ordering",
-            "hot-path-hygiene",
-            "unsafe-safety",
-            "no-panic-reachable",
-        ] {
+        for (rule, _) in np_analysis::audit::rules::RULES {
             assert!(super::audit_help().contains(rule), "missing rule {rule}");
         }
     }
