@@ -209,7 +209,7 @@ fn campaign(
 }
 
 /// `memhist-ladder`: the threshold ladder, one dedicated run per
-/// threshold, pooled vs sequential.
+/// threshold, pooled, against the exact single-run histogram.
 fn memhist_ladder(
     spec: &CellSpec,
     threads: usize,
@@ -221,7 +221,7 @@ fn memhist_ladder(
     let w = np_workloads::registry::build("mlc-local", Some(size), threads, machine)?;
     let program = w.build(machine);
     let tool = Memhist::with_defaults();
-    let base = format!("{:?}", tool.measure_ladder(&sim, &program, cfg.seed));
+    let base = format!("{:?}", tool.measure_exact(&sim, &program, cfg.seed));
     let items = np_core::memhist::MemhistConfig::default().thresholds.len();
     let pool = np_parallel::Pool::new(threads);
     let (samples_ns, audit_ok) = sample_cell(cfg.warmup, cfg.repeats, &base, || {

@@ -210,45 +210,19 @@ impl Memhist {
         MemhistResult::complete(histogram, vec![], 0)
     }
 
-    /// One dedicated PEBS run for `threshold`: the exact exceedance count
-    /// the hardware would report with that single event programmed for the
-    /// whole run. Pure in `(program, seed)`, like the simulator itself.
-    fn ladder_count(&self, sim: &MachineSim, program: &Program, seed: u64, threshold: u64) -> i64 {
-        // Max period: exceedances are counted in full, but almost no
-        // samples are recorded — the ladder only needs the counter.
-        let mut pebs = PebsCollector::new(threshold, u32::MAX);
-        // An invalid program contributes no samples; the histogram
-        // assembles from zero counts.
-        let _ = sim.run_observed(program, seed, &mut pebs);
-        pebs.exceed_count as i64
-    }
-
-    fn ladder_result(&self, counts: &[i64]) -> MemhistResult {
-        let histogram = LatencyHistogram::from_threshold_counts(&self.config.thresholds, counts)
-            .expect("thresholds validated in constructor");
-        MemhistResult::complete(histogram, vec![], 0)
-    }
-
     /// Ladder measurement: one dedicated, identically-seeded run per
-    /// threshold instead of time cycling. Every run observes the same
-    /// simulated execution, so each exceedance count is exact and the
-    /// assembled histogram is bit-identical to [`Memhist::measure_exact`]
-    /// — at the cost of `thresholds.len()` runs, which is precisely the
-    /// trade [`Memhist::measure_ladder_pool`] parallelises away.
+    /// threshold instead of time cycling, fanned across a pool of the
+    /// host's width. Every run observes the same simulated execution, so
+    /// each exceedance count is exact and the assembled histogram is
+    /// bit-identical to [`Memhist::measure_exact`] — at the cost of
+    /// `thresholds.len()` runs.
     pub fn measure_ladder(&self, sim: &MachineSim, program: &Program, seed: u64) -> MemhistResult {
-        let counts: Vec<i64> = self
-            .config
-            .thresholds
-            .iter()
-            .map(|&t| self.ladder_count(sim, program, seed, t))
-            .collect();
-        self.ladder_result(&counts)
+        self.measure_ladder_pool(sim, program, seed, &np_parallel::Pool::default())
     }
 
-    /// [`Memhist::measure_ladder`] with the per-threshold runs fanned
-    /// across `pool`. Each run is an independent pure simulation and the
-    /// pool merges counts in threshold order, so the result is
-    /// bit-identical to the sequential ladder for any thread count.
+    /// [`Memhist::measure_ladder`] on an explicit `pool`. Each run is an
+    /// independent pure simulation and the pool merges counts in
+    /// threshold order, so the result is the same for any thread count.
     pub fn measure_ladder_pool(
         &self,
         sim: &MachineSim,
@@ -257,9 +231,17 @@ impl Memhist {
         pool: &np_parallel::Pool,
     ) -> MemhistResult {
         let counts = pool.map(&self.config.thresholds, |&t| {
-            self.ladder_count(sim, program, seed, t)
+            // Max period: exceedances are counted in full, but almost no
+            // samples are recorded — the ladder only needs the counter.
+            let mut pebs = PebsCollector::new(t, u32::MAX);
+            // An invalid program contributes no samples; the histogram
+            // assembles from zero counts.
+            let _ = sim.run_observed(program, seed, &mut pebs);
+            pebs.exceed_count as i64
         });
-        self.ladder_result(&counts)
+        let histogram = LatencyHistogram::from_threshold_counts(&self.config.thresholds, &counts)
+            .expect("thresholds validated in constructor");
+        MemhistResult::complete(histogram, vec![], 0)
     }
 
     /// Measures with full visibility into *which level served each load*
@@ -575,15 +557,16 @@ mod tests {
     }
 
     #[test]
-    fn pooled_ladder_matches_sequential_at_any_thread_count() {
+    fn pooled_ladder_matches_exact_at_any_thread_count() {
         let sim = quiet();
         let m = Memhist::with_defaults();
         let p = LatencyChecker::new(0, 0, 4 << 20, 1000).build(sim.config());
-        let seq = m.measure_ladder(&sim, &p, 5);
+        let exact = m.measure_exact(&sim, &p, 5);
         for threads in [1, 2, 8] {
             let pool = np_parallel::Pool::new(threads);
             let par = m.measure_ladder_pool(&sim, &p, 5, &pool);
-            for (a, b) in seq.histogram.bins.iter().zip(&par.histogram.bins) {
+            assert_eq!(exact.histogram.bins.len(), par.histogram.bins.len());
+            for (a, b) in exact.histogram.bins.iter().zip(&par.histogram.bins) {
                 assert_eq!(a.count, b.count, "{threads} threads [{}, {})", a.lo, a.hi);
             }
         }

@@ -12,7 +12,7 @@
 
 use crate::capture::NodeSeriesObserver;
 use np_counters::acquisition::{
-    measure_batched, measure_batched_resilient, measure_multiplexed, AcquisitionMode,
+    measure_batched_pool, measure_batched_resilient, measure_multiplexed, AcquisitionMode,
 };
 use np_counters::catalog::{EventCatalog, EventId};
 use np_counters::measurement::{Measurement, RunSet};
@@ -153,7 +153,7 @@ impl Runner {
         self
     }
 
-    /// The pool that fans out batched repetitions.
+    /// The pool that fans out batched runs and sampled repetitions.
     pub fn pool(&self) -> &Pool {
         &self.pool
     }
@@ -191,7 +191,19 @@ impl Runner {
         np_telemetry::counter!("runner.campaigns").inc();
         np_telemetry::counter!("runner.repetitions").add(plan.repetitions as u64);
         match plan.mode {
-            AcquisitionMode::BatchedRuns => self.measure_batched_parallel(program, plan),
+            AcquisitionMode::BatchedRuns => {
+                let set = measure_batched_pool(
+                    &self.sim,
+                    program,
+                    &plan.events,
+                    plan.repetitions,
+                    plan.base_seed,
+                    &plan.pmu,
+                    &self.pool,
+                )?;
+                np_telemetry::counter!("runner.reps_done").add(plan.repetitions as u64);
+                Ok(set)
+            }
             AcquisitionMode::Multiplexed => measure_multiplexed(
                 &self.sim,
                 program,
@@ -386,44 +398,6 @@ impl Runner {
             sampler,
             profile: report.profile,
             workers: self.pool.threads(),
-        })
-    }
-
-    /// Batched acquisition with repetitions fanned across the pool.
-    /// Results are bit-identical to the serial path: each repetition is an
-    /// independent `(program, seed)` simulation, and the pool merges in
-    /// submission order.
-    fn measure_batched_parallel(
-        &self,
-        program: &Program,
-        plan: &MeasurementPlan,
-    ) -> Result<RunSet, String> {
-        let runs: Vec<Measurement> = self
-            .pool
-            .try_run(plan.repetitions, |rep| {
-                // Occupancy gauge brackets the repetition so a trace shows
-                // how many pool workers the fan-out actually kept busy.
-                let _rep_span = np_telemetry::span!("runner.repetition", "runner");
-                np_telemetry::gauge!("runner.active_workers").add(1);
-                let one = measure_batched(
-                    &self.sim,
-                    program,
-                    &plan.events,
-                    1,
-                    plan.base_seed + rep as u64,
-                    &plan.pmu,
-                )?;
-                np_telemetry::gauge!("runner.active_workers").add(-1);
-                np_telemetry::counter!("runner.reps_done").inc();
-                one.runs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| "repetition produced no measurement".to_string())
-            })
-            .map_err(|e| e.to_string())?;
-        Ok(RunSet {
-            runs,
-            label: "batched".into(),
         })
     }
 }

@@ -31,11 +31,10 @@ pub enum Probe {
 /// |         | the first demand hit)                               |
 /// | 11..64  | tag: the full line address                          |
 ///
-/// The all-zero word is an empty way, so a zeroed way array is an empty
-/// cache — and a zeroed `Vec<u64>` comes from the allocator's zero pages,
-/// mapped only when first written. The valid ways of a set hold the ranks
-/// `0..n` exactly once, so the rank order is the order of their last
-/// touches — the same order per-line LRU stamps would give.
+/// The all-zero word is an empty way, so a zero-filled slot is an empty
+/// set. The valid ways of a set hold the ranks `0..n` exactly once, so
+/// the rank order is the order of their last touches — the same order
+/// per-line LRU stamps would give.
 type Way = u64;
 
 const _: () = assert!(std::mem::size_of::<Way>() == 8);
@@ -105,10 +104,13 @@ fn remove(set: &mut [Way], i: usize) {
 /// A set-associative, write-allocate, writeback cache with LRU replacement.
 ///
 /// State is kept per set: each set carries the epoch it was last written
-/// in, and a set from an older epoch is logically empty. A probe of such a
-/// stale set answers `Miss` after reading its 4-byte epoch; its first
-/// install of the run clears it. Both arrays start zeroed (`vec![0; n]`),
-/// so the sets a run never touches stay unmapped zero pages.
+/// in and the slot its ways occupy, and a set from an older epoch is
+/// logically empty. A probe of such a stale set answers `Miss` after
+/// reading its 8-byte metadata word. Its first install of an epoch takes
+/// the next free slot and clears it, so slots are handed out densely in
+/// first-touch order: the way array holds only the sets a run touched,
+/// however scattered their indices are, and keeps the largest such count
+/// across runs instead of growing to `sets × ways`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
@@ -117,11 +119,14 @@ pub struct SetAssocCache {
     /// `sets - 1` when `sets` is a power of two; 0 selects the modulo
     /// path (the DL580 L3 has 36864 sets, which is not a power of two).
     set_mask: u64,
-    /// `sets × ways` packed ways.
+    /// `slots × ways` packed ways; slot `s` holds ways `s·ways..(s+1)·ways`.
     entries: Vec<Way>,
-    /// Epoch each set was last written in; 0 = never.
-    set_epochs: Vec<u32>,
-    /// Current epoch: a set is live iff its `set_epochs` entry matches.
+    /// Per set: `[epoch it was last written in, its slot]`; epoch 0 =
+    /// never.
+    set_meta: Vec<[u32; 2]>,
+    /// Slots handed out this epoch.
+    used: u32,
+    /// Current epoch: a set is live iff its `set_meta` epoch matches.
     /// Bumping this in [`SetAssocCache::reset`] empties every set in O(1)
     /// instead of rewriting the way array — which for the DL580 L3 is
     /// megabytes per simulated run.
@@ -155,22 +160,31 @@ impl SetAssocCache {
             } else {
                 0
             },
-            entries: vec![0; sets * ways],
-            set_epochs: vec![0; sets],
+            entries: Vec::new(),
+            set_meta: vec![[0; 2]; sets],
+            used: 0,
             epoch: 1,
         }
     }
 
     /// Invalidates every line — equivalent to a freshly built cache, in
-    /// O(1): the epoch bump makes every set stale, and a stale set behaves
-    /// exactly like an empty one. On epoch wraparound the set epochs are
-    /// cleared for real, so reuse counts are unbounded.
+    /// O(1): the epoch bump makes every set stale, a stale set behaves
+    /// exactly like an empty one, and every slot is free for reuse. On
+    /// epoch wraparound the set metadata is cleared for real, so reuse
+    /// counts are unbounded.
     pub fn reset(&mut self) {
         if self.epoch == u32::MAX {
-            self.set_epochs.fill(0);
+            self.set_meta.fill([0; 2]);
             self.epoch = 0;
         }
         self.epoch += 1;
+        self.used = 0;
+    }
+
+    /// Bytes of way storage this epoch's sets occupy: one slot of
+    /// `ways × 8` bytes per set touched since the last reset.
+    pub(crate) fn used_bytes(&self) -> usize {
+        self.used as usize * self.ways * std::mem::size_of::<Way>()
     }
 
     /// Line address for a byte address.
@@ -191,15 +205,40 @@ impl SetAssocCache {
     /// The ways of `set` if it is live this epoch.
     #[inline]
     fn live(&self, set: usize) -> Option<&[Way]> {
-        (self.set_epochs[set] == self.epoch)
-            .then(|| &self.entries[set * self.ways..(set + 1) * self.ways])
+        let [epoch, slot] = self.set_meta[set];
+        let base = slot as usize * self.ways;
+        (epoch == self.epoch).then(|| &self.entries[base..base + self.ways])
     }
 
     /// Mutable [`Self::live`].
     #[inline]
     fn live_mut(&mut self, set: usize) -> Option<&mut [Way]> {
-        (self.set_epochs[set] == self.epoch)
-            .then(|| &mut self.entries[set * self.ways..(set + 1) * self.ways])
+        let [epoch, slot] = self.set_meta[set];
+        let base = slot as usize * self.ways;
+        (epoch == self.epoch).then(|| &mut self.entries[base..base + self.ways])
+    }
+
+    /// The ways of `set`, made live: a stale set takes the next free slot
+    /// (growing the way array by one slot when every slot is in use) and
+    /// starts empty.
+    #[inline]
+    fn claim(&mut self, set: usize) -> &mut [Way] {
+        let ways = self.ways;
+        let [epoch, slot] = self.set_meta[set];
+        let base = if epoch == self.epoch {
+            slot as usize * ways
+        } else {
+            let base = self.used as usize * ways;
+            if base == self.entries.len() {
+                self.entries.resize(base + ways, 0);
+            } else {
+                self.entries[base..base + ways].fill(0);
+            }
+            self.set_meta[set] = [self.epoch, self.used];
+            self.used += 1;
+            base
+        };
+        &mut self.entries[base..base + ways]
     }
 
     /// Probes for the line containing `addr`, updating LRU on hit and
@@ -235,13 +274,8 @@ impl SetAssocCache {
     /// `dirty` marks write-allocated lines.
     pub fn install(&mut self, addr: u64, prefetched: bool, dirty: bool) -> Option<Eviction> {
         let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
         let ways = self.ways;
-        let set = &mut self.entries[set_idx * ways..(set_idx + 1) * ways];
-        if self.set_epochs[set_idx] != self.epoch {
-            set.fill(0);
-            self.set_epochs[set_idx] = self.epoch;
-        }
+        let set = self.claim(self.set_of(line));
         let key = key(line);
 
         // Already present (e.g. racing prefetch): refresh in place.
@@ -776,6 +810,54 @@ mod tests {
                 }
                 prop_assert_eq!(packed.occupancy(), model.occupancy(), "occupancy, step {}", step);
             }
+        }
+    }
+
+    #[test]
+    fn residency_tracks_the_sets_a_run_touches() {
+        // The DL580 L3: 45 MiB, 20 ways, 36864 sets (modulo indexing).
+        let mut c = SetAssocCache::new(CacheGeometry {
+            size_bytes: 45 << 20,
+            ways: 20,
+            line_bytes: 64,
+        });
+        assert_eq!(c.sets, 36864);
+        let slot_bytes = 20 * std::mem::size_of::<Way>();
+        // `k` sets spread over the whole index range, two lines each;
+        // `offset` moves the sets so a later run touches other ones.
+        let touch = |c: &mut SetAssocCache, k: u64, offset: u64| {
+            for i in 0..k {
+                let line = i * (36864 / k) + offset;
+                c.install(line * 64, false, false);
+                c.install((line + 36864) * 64, false, true);
+            }
+        };
+        touch(&mut c, 1024, 0);
+        assert_eq!(c.entries.len(), 1024 * 20);
+        assert_eq!(c.used_bytes(), 1024 * slot_bytes);
+        assert_eq!(c.occupancy(), 2048);
+        let capacity = c.entries.capacity();
+
+        // A smaller run reuses slots: nothing grows, nothing stale shows.
+        c.reset();
+        touch(&mut c, 300, 7);
+        assert_eq!(c.entries.len(), 1024 * 20);
+        assert_eq!(c.entries.capacity(), capacity);
+        assert_eq!(c.used_bytes(), 300 * slot_bytes);
+        assert_eq!(c.occupancy(), 600);
+        assert!(!c.contains(0));
+        assert!(c.contains(7 * 64));
+
+        // The same across a forced epoch wraparound.
+        c.epoch = u32::MAX - 1;
+        for (run, k) in [(0, 512), (1, 300), (2, 1024), (3, 16)] {
+            c.reset();
+            assert_eq!(c.occupancy(), 0, "run {run}");
+            touch(&mut c, k, run);
+            assert_eq!(c.entries.len(), 1024 * 20, "run {run}");
+            assert_eq!(c.entries.capacity(), capacity, "run {run}");
+            assert_eq!(c.used_bytes(), k as usize * slot_bytes, "run {run}");
+            assert_eq!(c.occupancy(), 2 * k as usize, "run {run}");
         }
     }
 

@@ -147,16 +147,25 @@ struct ThreadState {
 
 /// The large, geometry-shaped machine state a run needs: per-core caches,
 /// TLBs, predictors and prefetchers, per-node L3s and the coherence
-/// directory. The cache arrays reserve about 27 MB on the DL580 preset
-/// (its L3 alone is 36864 sets × 20 ways per node) but start as zero
-/// pages, so only the sets a run writes become resident. Finished runs
-/// return their state to [`MachineSim::scratch`], and
+/// directory. A cache's way array holds one slot per set the run touched
+/// (the DL580 L3 has 36864 sets × 20 ways per node, but a run fills only
+/// the sets its lines map to), and keeps the largest such size across
+/// runs. Finished runs return their state to [`MachineSim::scratch`], and
 /// [`MachineSim::reset_state`] rewinds it through per-set cache and TLB
 /// epoch bumps instead of reallocating.
 struct SimState {
     cores: Vec<CoreState>,
     l3s: Vec<SetAssocCache>,
     directory: Directory,
+}
+
+/// Way bytes in use by this run, summed over every L1, L2 and L3.
+fn state_bytes(cores: &[CoreState], l3s: &[SetAssocCache]) -> usize {
+    let private: usize = cores
+        .iter()
+        .map(|c| c.l1.used_bytes() + c.l2.used_bytes())
+        .sum();
+    private + l3s.iter().map(SetAssocCache::used_bytes).sum::<usize>()
 }
 
 /// Recycled states kept per simulator; beyond this, extra states drop.
@@ -627,7 +636,7 @@ impl MachineSim {
             footprint,
             regions,
         };
-        self.record_run_telemetry(&result);
+        self.record_run_telemetry(&result, cores, l3s);
         result
     }
 
@@ -635,11 +644,14 @@ impl MachineSim {
     ///
     /// Batched at end-of-run on purpose: the main loop stays untouched, so
     /// simulated throughput is independent of whether telemetry is on.
-    fn record_run_telemetry(&self, result: &RunResult) {
+    fn record_run_telemetry(&self, result: &RunResult, cores: &[CoreState], l3s: &[SetAssocCache]) {
         if !np_telemetry::enabled() {
             return;
         }
         np_telemetry::counter!("sim.runs").inc();
+        // Deterministic per (program, seed, preset): slots are claimed
+        // once per touched set and every reset frees them all.
+        np_telemetry::histogram!("sim.state_bytes").record(state_bytes(cores, l3s) as u64);
         np_telemetry::counter!("sim.instructions").add(result.total(HwEvent::Instructions));
         np_telemetry::counter!("sim.cycles").add(result.cycles);
         np_telemetry::counter!("sim.l3_miss").add(result.total(HwEvent::L3Miss));
@@ -1622,6 +1634,44 @@ mod tests {
         let below = coherence(40);
         assert!(below.iter().all(|&n| n > 0), "{below:?}");
         assert_eq!(coherence(130), below);
+    }
+
+    #[test]
+    fn state_bytes_are_deterministic_per_program_and_seed() {
+        let sim = MachineSim::new(MachineConfig::dl580_gen9());
+        let scatter = |lines: u64| {
+            let mut b = ProgramBuilder::new(&sim.config().topology, 4096);
+            let buf = b.alloc(64 << 20, AllocPolicy::Bind(0));
+            let t = b.add_thread(0);
+            for i in 0..lines {
+                b.load(t, buf + (i * 2654435761 * 64) % (64 << 20));
+            }
+            b.build()
+        };
+        // `sim.state_bytes` of one `run`: the state it used is the one it
+        // just parked in the scratch pool.
+        let recycled = |p: &Program| {
+            sim.run(p, 9).expect("valid program");
+            let pool = sim.scratch.lock().expect("unpoisoned");
+            let state = pool.last().expect("state parked");
+            state_bytes(&state.cores, &state.l3s)
+        };
+        // `run_fresh`'s path, keeping the state to read it.
+        let fresh = |p: &Program| {
+            let mut state = sim.build_state();
+            sim.reset_state(&mut state, 9);
+            sim.run_with_state(p, &mut NullObserver, &mut state);
+            state_bytes(&state.cores, &state.l3s)
+        };
+        let big = scatter(20_000);
+        let small = scatter(2_000);
+        let big_bytes = recycled(&big);
+        // A smaller run on the grown state counts only its own sets.
+        let small_bytes = recycled(&small);
+        assert!(0 < small_bytes && small_bytes < big_bytes);
+        assert_eq!(recycled(&small), small_bytes);
+        assert_eq!(fresh(&small), small_bytes);
+        assert_eq!(fresh(&big), big_bytes);
     }
 
     #[test]

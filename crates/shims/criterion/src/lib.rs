@@ -32,7 +32,9 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// `name/parameter`, criterion's display convention.
     pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", name.into(), parameter) }
+        BenchmarkId {
+            id: format!("{}/{}", name.into(), parameter),
+        }
     }
 }
 
@@ -47,7 +49,12 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
         eprintln!("group {name}");
-        BenchmarkGroup { _parent: self, name, sample_size: 20, throughput: None }
+        BenchmarkGroup {
+            _parent: self,
+            name,
+            sample_size: 20,
+            throughput: None,
+        }
     }
 }
 
@@ -134,7 +141,10 @@ pub struct Bencher {
 
 impl Bencher {
     fn new(sample_size: usize) -> Self {
-        Bencher { sample_size, samples: Vec::new() }
+        Bencher {
+            sample_size,
+            samples: Vec::new(),
+        }
     }
 
     /// Measures `routine`, adaptively batching fast routines.
@@ -176,7 +186,10 @@ impl Bencher {
                 format!("  {:.2} Melem/s", n as f64 / median.as_secs_f64() / 1e6)
             }
             Some(Throughput::Bytes(n)) => {
-                format!("  {:.2} MiB/s", n as f64 / median.as_secs_f64() / (1 << 20) as f64)
+                format!(
+                    "  {:.2} MiB/s",
+                    n as f64 / median.as_secs_f64() / (1 << 20) as f64
+                )
             }
             None => String::new(),
         };

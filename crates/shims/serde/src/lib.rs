@@ -59,7 +59,10 @@ impl Value {
 
     /// Looks up an object key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// A short name of the variant for error messages.
@@ -83,7 +86,10 @@ pub struct DeError(pub String);
 impl DeError {
     /// Builds a "while deserializing T: expected X, found Y" error.
     pub fn expected(what: &str, context: &str, found: &Value) -> DeError {
-        DeError(format!("{context}: expected {what}, found {}", found.kind()))
+        DeError(format!(
+            "{context}: expected {what}, found {}",
+            found.kind()
+        ))
     }
 }
 
@@ -114,8 +120,7 @@ pub fn from_field<T: Deserialize>(
     ty: &str,
 ) -> Result<T, DeError> {
     match obj.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::from_value(v)
-            .map_err(|e| DeError(format!("{ty}.{key}: {e}"))),
+        Some((_, v)) => T::from_value(v).map_err(|e| DeError(format!("{ty}.{key}: {e}"))),
         None => Err(DeError(format!("{ty}: missing field '{key}'"))),
     }
 }

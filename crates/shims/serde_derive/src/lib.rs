@@ -10,8 +10,14 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What we learned about the item the derive is attached to.
 enum Item {
-    Struct { name: String, fields: Vec<String> },
-    Enum { name: String, variants: Vec<(String, usize)> },
+    Struct {
+        name: String,
+        fields: Vec<String>,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, usize)>,
+    },
 }
 
 /// Skips `#[...]` attribute pairs at the current position.
@@ -75,8 +81,14 @@ fn parse_item(input: TokenStream) -> Item {
     };
 
     match kind.as_str() {
-        "struct" => Item::Struct { name, fields: parse_fields(body.stream()) },
-        "enum" => Item::Enum { name, variants: parse_variants(body.stream()) },
+        "struct" => Item::Struct {
+            name,
+            fields: parse_fields(body.stream()),
+        },
+        "enum" => Item::Enum {
+            name,
+            variants: parse_variants(body.stream()),
+        },
         other => panic!("derive: cannot derive for `{other}` items"),
     }
 }
@@ -189,9 +201,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             let arms: String = variants
                 .iter()
                 .map(|(v, arity)| match arity {
-                    0 => format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n"
-                    ),
+                    0 => format!("{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n"),
                     1 => format!(
                         "{name}::{v}(__f0) => ::serde::Value::Object(vec![(\
                          \"{v}\".to_string(), ::serde::Serialize::to_value(__f0))]),\n"
@@ -208,7 +218,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    out.parse().expect("derive(Serialize): generated code must parse")
+    out.parse()
+        .expect("derive(Serialize): generated code must parse")
 }
 
 #[proc_macro_derive(Deserialize)]
@@ -272,5 +283,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    out.parse().expect("derive(Deserialize): generated code must parse")
+    out.parse()
+        .expect("derive(Deserialize): generated code must parse")
 }

@@ -132,7 +132,10 @@ fn write_seq(
 
 /// Parses one complete JSON document (trailing non-whitespace is an error).
 pub fn parse_value(json: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: json.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: json.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -279,8 +282,7 @@ impl<'a> Parser<'a> {
                                 hi
                             };
                             s.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?,
+                                char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))?,
                             );
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -291,10 +293,7 @@ impl<'a> Parser<'a> {
                     // bytes are valid UTF-8).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .peek()
-                        .is_some_and(|b| (b & 0xC0) == 0x80)
-                    {
+                    while self.peek().is_some_and(|b| (b & 0xC0) == 0x80) {
                         self.pos += 1;
                     }
                     s.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
@@ -367,7 +366,10 @@ mod tests {
         let v = Value::Object(vec![
             ("a".into(), Value::UInt(7)),
             ("b".into(), Value::Float(0.06)),
-            ("c".into(), Value::Array(vec![Value::Int(-1), Value::Bool(true), Value::Null])),
+            (
+                "c".into(),
+                Value::Array(vec![Value::Int(-1), Value::Bool(true), Value::Null]),
+            ),
             ("d".into(), Value::Str("q\"uote\n".into())),
         ]);
         let compact = to_string(&v).unwrap();

@@ -7,7 +7,7 @@
 //! zero-dependency registry of:
 //!
 //! * **counters** — monotonic totals (`sim.runs`, `probe.errors`),
-//! * **gauges** — instantaneous levels (`runner.active_workers`),
+//! * **gauges** — instantaneous levels (`serve.inflight`),
 //! * **histograms** — log-bucketed latency/size distributions
 //!   ([`LogHistogram`]),
 //! * **spans** — RAII wall-time regions ([`SpanTimer`], [`span!`]) that

@@ -27,8 +27,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== cargo fmt --check =="
-cargo fmt --check
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
